@@ -49,8 +49,8 @@ func cmdStats(cf *wire.ClusterFile) {
 		st.FastCommits, st.Conversations, st.Sheds, st.Held, st.HeldHigh)
 	fmt.Printf("  decisions: logged=%d adopted=%d resolved=%d live=%d\n",
 		st.DecisionsLogged, st.DecisionsAdopted, st.DecisionsResolved, st.LiveDecisions)
-	fmt.Printf("  faults: crashes=%d restarts=%d  mirror-edges=%d  trace-events=%d\n",
-		st.Crashes, st.Restarts, st.MirrorEdges, st.TraceLen)
+	fmt.Printf("  faults: crashes=%d restarts=%d  mirror-edges=%d\n",
+		st.Crashes, st.Restarts, st.MirrorEdges)
 	if ps := st.PolicyStats; ps != nil {
 		fmt.Printf("  policy: tail-aborts=%d admission-rejects=%d eager-rounds=%d eager-released=%d held-peak=%d\n",
 			ps.TailAborts, ps.AdmissionRejects, ps.EagerRounds, ps.EagerReleased, ps.HeldPeak)
@@ -88,14 +88,13 @@ func printSiteStats(m map[string]core.Stats) {
 	}
 }
 
-// cmdTrace reads the cluster's tracing planes. Without span flags it
-// drains the coordinator's conversation-event ring and prints it
-// oldest-first; -txn/-slowest/-chrome switch to the causal span plane,
-// scraping /tracez?fmt=spans from every process and stitching the
-// records into cluster-wide traces by trace id.
+// cmdTrace reads the cluster's span plane. Without -txn/-slowest/-chrome
+// it prints the coordinator's retained spans oldest-first, one line
+// each; those flags scrape /tracez?fmt=spans from every process and
+// stitch the records into cluster-wide traces by trace id.
 func cmdTrace(cf *wire.ClusterFile, args []string) {
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)
-	last := fs.Int("last", 0, "print only the last N events (0 = all retained)")
+	last := fs.Int("last", 0, "print only the last N spans (0 = all retained)")
 	txn := fs.Uint64("txn", 0, "reconstruct one transaction's cluster-wide causal timeline")
 	slowest := fs.Int("slowest", 0, "rank the N slowest traces still retained (tail exemplars survive wraparound)")
 	chrome := fs.String("chrome", "", "write the merged cluster-wide spans as Chrome trace JSON to this file")
@@ -107,20 +106,23 @@ func cmdTrace(cf *wire.ClusterFile, args []string) {
 		cmdTraceSpans(cf, *txn, *slowest, *chrome)
 		return
 	}
-	var events []telemetry.Event
-	if err := fetchJSON(cf.Debug, "/tracez", &events); err != nil {
+	var doc wire.SpanzDoc
+	if err := fetchJSON(cf.Debug, "/tracez", &doc); err != nil {
 		fatal(err)
 	}
-	if len(events) == 0 {
-		fmt.Println("sccctl: trace ring is empty (is \"trace\" set in the cluster file?)")
+	spans := doc.Spans
+	if len(spans) == 0 {
+		fmt.Println("sccctl: no spans retained (is \"spans\" set in the cluster file?)")
 		return
 	}
-	if *last > 0 && len(events) > *last {
-		events = events[len(events)-*last:]
+	// The feed is the ring followed by pinned exemplars; order it all
+	// on the wall clock.
+	sort.SliceStable(spans, func(i, j int) bool { return spans[i].Wall < spans[j].Wall })
+	if *last > 0 && len(spans) > *last {
+		spans = spans[len(spans)-*last:]
 	}
-	for _, e := range events {
-		fmt.Printf("%12.3fms  #%-8d %-8s txn=%-6d site=%-3d arg=%d\n",
-			float64(e.Nanos)/1e6, e.Seq, e.KindS, e.Txn, e.Site, e.Arg)
+	for _, s := range spans {
+		fmt.Printf("%-8s txn=%-6d site=%-3d dur=%.3fms\n", s.KindS, s.Txn, s.Site, float64(s.Dur)/1e6)
 	}
 }
 

@@ -77,22 +77,14 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// buildFlight constructs the process's flight recorder from the
-// cluster file (nil when disabled). process labels the dump files.
+// buildFlight constructs the process's span buffer from the cluster
+// file and the flight recorder that dumps it; the recorder is nil
+// exactly when the span plane is off. process labels the dump files.
 func buildFlight(cf *wire.ClusterFile, process string) *telemetry.FlightRecorder {
-	if cf.Flight <= 0 {
-		return nil
-	}
-	return telemetry.NewFlightRecorder(cf.Flight, process, cf.FlightDir)
-}
-
-// buildSpans constructs the process's span buffer from the cluster
-// file (nil when the span plane is off).
-func buildSpans(cf *wire.ClusterFile) *telemetry.SpanBuffer {
 	if cf.Spans <= 0 {
 		return nil
 	}
-	return telemetry.NewSpanBuffer(cf.Spans, cf.SpanExemplars)
+	return telemetry.NewFlightRecorder(telemetry.NewSpanBuffer(cf.Spans, cf.SpanExemplars), process, cf.FlightDir)
 }
 
 // watchSignals blocks until SIGINT/SIGTERM arrives on quit (wire-level
@@ -106,10 +98,10 @@ func watchSignals(quit chan os.Signal, fr *telemetry.FlightRecorder) {
 			return
 		}
 		if fr == nil {
-			fmt.Fprintln(os.Stderr, "sccd: SIGQUIT but no flight recorder configured (\"flight\" in the cluster file)")
+			fmt.Fprintln(os.Stderr, "sccd: SIGQUIT but the span plane is off (\"spans\" in the cluster file), so there is no flight recorder to dump")
 			continue
 		}
-		if path, err := fr.Dump("sigquit"); err != nil {
+		if path, err := fr.Dump("sigquit", ""); err != nil {
 			fmt.Fprintln(os.Stderr, "sccd: flight dump failed:", err)
 		} else {
 			fmt.Printf("sccd: flight dump written to %s\n", path)
@@ -135,11 +127,8 @@ func runSite(cf *wire.ClusterFile, idx int, debugAddr string) {
 		sites[sid] = cr
 	}
 	process := fmt.Sprintf("site%d", idx)
-	spans := buildSpans(cf)
 	flight := buildFlight(cf, process)
-	if flight != nil {
-		flight.AttachSpans(spans)
-	}
+	spans := flight.Spans()
 	quit := make(chan os.Signal, 1)
 	srv, err := wire.ServeSites(wire.SiteServerConfig{
 		Addr:       d.Listen,
@@ -191,19 +180,16 @@ func runCoord(cf *wire.ClusterFile, dialWait time.Duration, debugAddr string) {
 	}
 	flight := buildFlight(cf, "coord")
 	co, err := wire.StartCoordinator(wire.CoordinatorConfig{
-		ClientAddr:    cf.Client,
-		Log:           flog,
-		CloseLog:      flog.Close,
-		Daemons:       cf.Daemons,
-		Workload:      cf.Workload,
-		DialWait:      dialWait,
-		Policy:        policy,
-		Trace:         cf.Trace,
-		Spans:         cf.Spans,
-		SpanExemplars: cf.SpanExemplars,
-		SampleSeed:    cf.SampleSeed,
-		SampleRate:    cf.SampleRate,
-		Flight:        flight,
+		ClientAddr: cf.Client,
+		Log:        flog,
+		CloseLog:   flog.Close,
+		Daemons:    cf.Daemons,
+		Workload:   cf.Workload,
+		DialWait:   dialWait,
+		Policy:     policy,
+		SampleSeed: cf.SampleSeed,
+		SampleRate: cf.SampleRate,
+		Flight:     flight, // carries the span buffer
 	})
 	if err != nil {
 		flog.Close()

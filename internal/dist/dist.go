@@ -269,16 +269,14 @@ type Cluster struct {
 	// tel is the coordinator's always-on instrument block (counters and
 	// histograms are lock-free; phase timings are recorded only on the
 	// conversation path, so the edge-free fast path stays untimed).
-	// tracer is the opt-in conversation event ring (nil unless
-	// Config.Trace > 0; every Record call is nil-safe).
-	tel    telemetry.DistMetrics
-	tracer *telemetry.Tracer
+	tel telemetry.DistMetrics
 
-	// Span plane (nil unless Config.Spans > 0; every Record is
-	// nil-safe): sampler mints deterministic per-transaction trace
-	// contexts at Begin, spans holds the process's span ring plus the
-	// tail-latency exemplar store, and flight (shared with the hosting
-	// process) is the crash black box.
+	// Span plane (nil unless Config.Spans > 0 or Config.Flight is set;
+	// every Record is nil-safe): sampler mints deterministic
+	// per-transaction trace contexts at Begin, spans holds the
+	// process's span ring plus the tail-latency exemplar store, and
+	// flight (shared with the hosting process) dumps that buffer as the
+	// crash black box.
 	spans      *telemetry.SpanBuffer
 	sampler    *telemetry.Sampler
 	flight     *telemetry.FlightRecorder
@@ -326,11 +324,6 @@ type Config struct {
 	// TCP connection. With FaultTolerant, each backend must also
 	// implement CrashRestarter.
 	Backends []SiteBackend
-	// Trace, when positive, enables the commit-conversation event
-	// tracer with a ring of that many events (drained via Tracer();
-	// /tracez on a daemon). Zero disables tracing entirely — the
-	// default, and the zero-overhead path.
-	Trace int
 	// Spans, when positive, enables causal tracing: every transaction
 	// is minted a deterministic trace context at Begin, and sampled
 	// conversations record span records (begin/hold/decide/release/...)
@@ -349,12 +342,13 @@ type Config struct {
 	// re-derived after a coordinator restart.
 	SampleSeed int64
 	// SampleRate is the fraction of transactions sampled, in [0,1].
-	// Zero defaults to 1 (sample everything) when Spans > 0.
+	// Zero defaults to 1 (sample everything) when the span plane is on.
 	SampleRate float64
-	// Flight, when non-nil, is the process's flight recorder: the
-	// cluster records conversation events into it and attaches the
-	// span buffer and tracer, so a dump (SIGQUIT, panic, invariant
-	// violation) carries the full black box.
+	// Flight, when non-nil, is the process's flight recorder, and its
+	// span buffer is the cluster's: spans land in the window a dump
+	// (SIGQUIT, panic, invariant violation) writes out, and Spans /
+	// SpanExemplars are ignored. The recorder arms the span plane, so
+	// the sampler settings apply.
 	Flight *telemetry.FlightRecorder
 }
 
@@ -383,22 +377,20 @@ func NewWithConfig(cfg Config) (*Cluster, error) {
 		hook:   cfg.StepHook,
 		faulty: cfg.FaultTolerant,
 		mirror: depgraph.NewMirror(),
-		tracer: telemetry.NewTracer(cfg.Trace),
+		flight: cfg.Flight,
+		spans:  cfg.Flight.Spans(),
 	}
 	c.mirror.SetMetrics(&c.tel.Mirror)
-	if cfg.Spans > 0 {
+	if c.spans == nil && cfg.Spans > 0 {
+		c.spans = telemetry.NewSpanBuffer(cfg.Spans, cfg.SpanExemplars)
+	}
+	if c.spans != nil {
 		rate := cfg.SampleRate
 		if rate <= 0 {
 			rate = 1
 		}
-		c.spans = telemetry.NewSpanBuffer(cfg.Spans, cfg.SpanExemplars)
 		c.sampler = telemetry.NewSampler(cfg.SampleSeed, rate)
 		c.sampleSeed, c.sampleRate = cfg.SampleSeed, rate
-	}
-	c.flight = cfg.Flight
-	if c.flight != nil {
-		c.flight.AttachSpans(c.spans)
-		c.flight.AttachTracer(c.tracer)
 	}
 	if cfg.Policy != nil {
 		c.policy = cfg.Policy.Fresh()
@@ -469,7 +461,7 @@ func (c *Cluster) TraceContextOf(id core.TxnID) telemetry.TraceContext {
 	return c.sampler.Context(uint64(id))
 }
 
-// Spans returns the cluster's span buffer (nil unless Config.Spans > 0).
+// Spans returns the cluster's span buffer (nil with the span plane off).
 func (c *Cluster) Spans() *telemetry.SpanBuffer { return c.spans }
 
 // Flight returns the attached flight recorder (nil unless configured).
@@ -478,14 +470,6 @@ func (c *Cluster) Flight() *telemetry.FlightRecorder { return c.flight }
 // SampleConfig reports the span plane's sampler parameters; rate is 0
 // when the span plane is off.
 func (c *Cluster) SampleConfig() (seed int64, rate float64) { return c.sampleSeed, c.sampleRate }
-
-// trace records a conversation event into both the event tracer and
-// the flight recorder (each nil-safe), so the black box replays the
-// same timeline /tracez shows.
-func (c *Cluster) trace(kind telemetry.EventKind, txn uint64, site int32, arg int64) {
-	c.tracer.Record(kind, txn, site, arg)
-	c.flight.Record(kind, txn, site, arg)
-}
 
 // completeTrace finishes a sampled transaction's trace: end-to-end
 // latency measured from Begin drives the tail-based exemplar store, so
@@ -675,15 +659,15 @@ func (c *Cluster) ackRelease(id core.TxnID, sid SiteID) {
 		// logged by this coordinator or adopted from the log. More
 		// resolutions than that budget means release accounting
 		// double-counted — dump the black box while the evidence
-		// (recent events, spans) is still in the rings.
+		// (recent spans) is still in the ring.
 		if r, b := c.tel.DecisionsResolved.Load(), c.tel.DecisionsLogged.Load()+c.tel.DecisionsAdopted.Load(); r > b {
 			violation = r - b
 		}
 	}
 	c.logMu.Unlock()
-	if violation > 0 && c.flight != nil {
-		c.flight.Record(telemetry.EvCrash, uint64(id), int32(sid), int64(violation))
-		_, _ = c.flight.DumpOnce("conservation-violation")
+	if violation > 0 {
+		_, _ = c.flight.DumpOnce("conservation-violation",
+			fmt.Sprintf("txn %d site %d: resolved exceeds logged+adopted by %d", id, sid, violation))
 	}
 	if done {
 		_ = c.flog.Truncate(id)
@@ -957,7 +941,6 @@ func (c *Cluster) releaseAt(t *Txn) {
 	ttc := t.Trace()
 	for _, sid := range t.visitedSorted() {
 		c.step(DuringReleaseCascade, t.id, sid)
-		c.trace(telemetry.EvRelease, uint64(t.id), int32(sid), 0)
 		c.spans.Record(ttc, telemetry.SpanRelease, uint64(t.id), int32(sid), 0, 0, 0)
 		s := c.sites[sid]
 		s.mu.Lock()
@@ -1186,10 +1169,6 @@ func (c *Cluster) MirrorEdges() int {
 	return c.mirror.EdgeCount()
 }
 
-// Tracer returns the conversation event ring, or nil when tracing is
-// disabled (Config.Trace == 0).
-func (c *Cluster) Tracer() *telemetry.Tracer { return c.tracer }
-
 // ---- Crash-stop fault handling (Config.FaultTolerant clusters) ----
 
 // SiteDown reports whether the site is currently crashed (always false
@@ -1232,7 +1211,6 @@ func (c *Cluster) Crash(id SiteID) error {
 	s.mu.Unlock()
 
 	c.tel.Crashes.Inc()
-	c.trace(telemetry.EvCrash, 0, int32(id), 0)
 	c.mu.Lock()
 	c.mirror.DropSite(int(id))
 	var revoke []*Txn
@@ -1328,7 +1306,6 @@ func (c *Cluster) Restart(id SiteID) (fault.RecoveryReport, error) {
 	}
 	s.mu.Unlock()
 	c.tel.Restarts.Inc()
-	c.trace(telemetry.EvRestart, 0, int32(id), int64(len(rep.Redone)))
 	// A redo is this site's release ack: the logged commit is now in
 	// its durable base, so the decision can be truncated once every
 	// other participant has confirmed too. The redo span re-derives its

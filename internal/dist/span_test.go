@@ -1,8 +1,11 @@
 package dist
 
 import (
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/adt"
@@ -11,14 +14,13 @@ import (
 	"repro/internal/telemetry"
 )
 
-// newSpanCluster builds a 3-site page cluster with the span plane and
-// a flight recorder armed.
+// newSpanCluster builds a 3-site page cluster with the span plane
+// armed through a flight recorder over its buffer.
 func newSpanCluster(t *testing.T, dir string) *Cluster {
 	t.Helper()
-	fr := telemetry.NewFlightRecorder(256, "test", dir)
+	fr := telemetry.NewFlightRecorder(telemetry.NewSpanBuffer(1024, 0), "test", dir)
 	c, err := NewWithConfig(Config{
 		Sites:      3,
-		Spans:      1024,
 		SampleSeed: 1,
 		SampleRate: 1,
 		Flight:     fr,
@@ -121,8 +123,8 @@ func TestClusterSpansAbort(t *testing.T) {
 	}
 }
 
-// TestClusterFlightDump: the cluster's flight recorder accumulates the
-// commit conversation's events and dumps a readable artifact.
+// TestClusterFlightDump: the cluster's spans land in its flight
+// recorder's window, which dumps a readable artifact.
 func TestClusterFlightDump(t *testing.T) {
 	dir := t.TempDir()
 	c := newSpanCluster(t, dir)
@@ -134,10 +136,10 @@ func TestClusterFlightDump(t *testing.T) {
 		t.Fatalf("commit = %v, %v", st, err)
 	}
 	fr := c.Flight()
-	if fr == nil || fr.Len() == 0 {
-		t.Fatal("flight recorder empty after a commit")
+	if fr == nil || fr.Spans() != c.Spans() || fr.Spans().Len() == 0 {
+		t.Fatal("flight recorder window empty after a commit")
 	}
-	path, err := fr.Dump("test")
+	path, err := fr.Dump("test", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,5 +152,68 @@ func TestClusterFlightDump(t *testing.T) {
 	}
 	if len(b) == 0 {
 		t.Fatal("flight dump is empty")
+	}
+}
+
+// TestConservationViolationDump: a decision resolved beyond the
+// logged+adopted budget dumps the black box once, with the violating
+// transaction and the excess in the dump's detail; a second violation
+// writes nothing new.
+func TestConservationViolationDump(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "flight")
+	fr := telemetry.NewFlightRecorder(telemetry.NewSpanBuffer(256, 0), "coord", dir)
+	c, err := NewWithConfig(Config{Sites: 2, FaultTolerant: true, SampleRate: 1, Flight: fr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := core.ObjectID(1); id <= 4; id++ {
+		if err := c.Register(id, adt.Page{}, compat.PageTable()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// commitBothSites runs one two-site transaction: its commit decision
+	// is logged, then resolved once both participants release.
+	commitBothSites := func() core.TxnID {
+		t.Helper()
+		tx := c.Begin()
+		if _, err := tx.Do(1, write(1)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.Do(2, write(2)); err != nil {
+			t.Fatal(err)
+		}
+		if st, err := tx.Commit(); err != nil || st != core.Committed {
+			t.Fatalf("commit = %v, %v", st, err)
+		}
+		return tx.ID()
+	}
+	c.tel.DecisionsResolved.Add(3) // resolutions nobody logged
+	id := commitBothSites()        // logged 1, resolved 4: excess 3
+
+	dumps, _ := filepath.Glob(filepath.Join(dir, "flight-*.json"))
+	if len(dumps) != 1 {
+		t.Fatalf("dumps after the violation = %v, want exactly one", dumps)
+	}
+	raw, err := os.ReadFile(dumps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var d telemetry.FlightDump
+	if err := json.Unmarshal(raw, &d); err != nil {
+		t.Fatal(err)
+	}
+	if d.Reason != "conservation-violation" {
+		t.Errorf("reason = %q", d.Reason)
+	}
+	if !strings.Contains(d.Detail, fmt.Sprintf("txn %d ", id)) || !strings.HasSuffix(d.Detail, "by 3") {
+		t.Errorf("detail = %q, want txn %d and excess 3", d.Detail, id)
+	}
+	if len(d.Spans) == 0 {
+		t.Error("violation dump carries no spans")
+	}
+
+	commitBothSites() // still violating: no second dump
+	if again, _ := filepath.Glob(filepath.Join(dir, "flight-*.json")); len(again) != 1 {
+		t.Fatalf("second violation wrote a new dump: %v", again)
 	}
 }

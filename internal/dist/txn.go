@@ -249,7 +249,6 @@ func (t *Txn) do(ctx context.Context, obj core.ObjectID, op adt.Op) (adt.Ret, er
 			return adt.Ret{}, err
 		}
 		t.visit(sid)
-		t.c.trace(telemetry.EvBegin, uint64(t.id), int32(sid), 0)
 		t.span(telemetry.SpanBegin, int32(sid), 0, 0, 0)
 	}
 
@@ -281,7 +280,6 @@ func (t *Txn) do(ctx context.Context, obj core.ObjectID, op adt.Op) (adt.Ret, er
 		return adt.Ret{}, fmt.Errorf("site %d: %w", sid, &core.ErrAborted{Txn: t.id, Reason: dec.Reason})
 
 	case core.Blocked:
-		t.c.trace(telemetry.EvBlocked, uint64(t.id), int32(sid), 0)
 		t.span(telemetry.SpanBlock, int32(sid), int64(obj), 0, 0)
 		var blockStart time.Time
 		if t.sampled() {
@@ -514,7 +512,6 @@ func (t *Txn) Commit() (core.CommitStatus, error) {
 			}
 			return 0, fmt.Errorf("dist: commit-hold of T%d at site %d: %w", t.id, sid, err)
 		}
-		c.trace(telemetry.EvHold, uint64(t.id), int32(sid), 0)
 		if sampled {
 			t.span(telemetry.SpanHold, int32(sid), 0, 0, int64(time.Since(siteStart)))
 		}
@@ -534,7 +531,6 @@ func (t *Txn) Commit() (core.CommitStatus, error) {
 	decideStart := time.Now()
 	gdeps, wave, doomed, shed := c.decide(t, sids, batch, counts)
 	c.tel.DecideNanos.Observe(uint64(time.Since(decideStart)))
-	c.trace(telemetry.EvDecide, uint64(t.id), int32(noSite), int64(gdeps))
 	if sampled {
 		t.span(telemetry.SpanDecide, int32(noSite), int64(gdeps), int64(wave), int64(time.Since(decideStart)))
 	}
@@ -543,7 +539,6 @@ func (t *Txn) Commit() (core.CommitStatus, error) {
 		return 0, err
 	}
 	if shed {
-		c.trace(telemetry.EvShed, uint64(t.id), int32(noSite), int64(gdeps))
 		t.span(telemetry.SpanShed, int32(noSite), int64(gdeps), int64(wave), 0)
 		// The hold policy refused to grow the convoy: revoke the hold
 		// at every participant (recoverability makes this abort

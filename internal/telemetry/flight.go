@@ -10,140 +10,59 @@ import (
 	"time"
 )
 
-// Flight recorder: a bounded structured-event black box per process.
-//
-// The recorder accumulates the same conversation events the Tracer
-// does — but it exists to be *dumped*, not scraped: on SIGQUIT, on a
-// daemon panic, or when a decision-log conservation invariant trips,
-// the recorder writes a self-contained JSON post-mortem (its own event
-// ring, plus snapshots of any attached span buffer and tracer) to
-// disk. The recording path keeps the package's contract: Record is
-// allocation-free and nil-safe; only Dump allocates.
+// Flight recorder: the per-process black box, a retained window over
+// the span buffer it is built with. It records nothing of its own —
+// spans are the one event stream — and exists to be *dumped*: on
+// SIGQUIT, on a daemon panic, or when a decision-log conservation
+// invariant trips, the recorder writes a self-contained JSON
+// post-mortem (the span ring's snapshot plus the pinned exemplars) to
+// disk.
 
-// FlightEvent is one black-box entry: wall and monotonic stamps plus
-// the same (kind, txn, site, arg) shape the Tracer records.
-type FlightEvent struct {
-	Seq   uint64    `json:"seq"`
-	Wall  int64     `json:"wall"`
-	Nanos int64     `json:"nanos"`
-	Kind  EventKind `json:"-"`
-	KindS string    `json:"kind"`
-	Txn   uint64    `json:"txn"`
-	Site  int32     `json:"site"`
-	Arg   int64     `json:"arg"`
-}
-
-// FlightDump is the JSON document a dump writes.
+// FlightDump is the JSON document a dump writes. Detail carries what
+// the span stream cannot: the caller's account of why it dumped (the
+// violating transaction and excess, a panic value).
 type FlightDump struct {
 	Process   string          `json:"process"`
 	Reason    string          `json:"reason"`
+	Detail    string          `json:"detail,omitempty"`
 	Wall      string          `json:"wall"`
-	Events    []FlightEvent   `json:"events"`
-	Spans     []Span          `json:"spans,omitempty"`
+	Spans     []Span          `json:"spans"`
 	Exemplars []TraceExemplar `json:"exemplars,omitempty"`
-	Trace     []Event         `json:"trace,omitempty"`
 }
 
-// FlightRecorder is the per-process black box. A nil recorder no-ops
+// FlightRecorder dumps a process's span buffer. A nil recorder no-ops
 // everywhere, so call sites never guard.
 type FlightRecorder struct {
-	mu      sync.Mutex
-	ring    []FlightEvent
-	next    uint64
-	epoch   time.Time
-	wall0   int64
+	spans   *SpanBuffer
 	process string
 	dir     string
 
-	spans  *SpanBuffer
-	tracer *Tracer
-
+	mu       sync.Mutex // serialises dumps and guards the fields below
 	lastPath string
 	dumps    int
 	once     map[string]bool // reasons already dumped via DumpOnce
 }
 
-// NewFlightRecorder builds a recorder with capacity size for process
-// (a short role label: "coord", "site-a", ...), dumping into dir
-// (defaulted to the working directory). size <= 0 disables: the
-// returned recorder is nil.
-func NewFlightRecorder(size int, process, dir string) *FlightRecorder {
-	if size <= 0 {
+// NewFlightRecorder builds the black box over spans for process (a
+// short role label: "coord", "site-a", ...), dumping into dir
+// (defaulted to the working directory; created on the first dump). A
+// nil span buffer — the span plane off — returns a nil recorder.
+func NewFlightRecorder(spans *SpanBuffer, process, dir string) *FlightRecorder {
+	if spans == nil {
 		return nil
 	}
 	if dir == "" {
 		dir = "."
 	}
-	now := time.Now()
-	return &FlightRecorder{
-		ring:    make([]FlightEvent, size),
-		epoch:   now,
-		wall0:   now.UnixNano(),
-		process: process,
-		dir:     dir,
-		once:    make(map[string]bool),
-	}
+	return &FlightRecorder{spans: spans, process: process, dir: dir, once: make(map[string]bool)}
 }
 
-// AttachSpans includes the span buffer's snapshot in future dumps.
-func (f *FlightRecorder) AttachSpans(b *SpanBuffer) {
+// Spans returns the span buffer the recorder dumps (nil for nil).
+func (f *FlightRecorder) Spans() *SpanBuffer {
 	if f == nil {
-		return
+		return nil
 	}
-	f.mu.Lock()
-	f.spans = b
-	f.mu.Unlock()
-}
-
-// AttachTracer includes the tracer's snapshot in future dumps.
-func (f *FlightRecorder) AttachTracer(tr *Tracer) {
-	if f == nil {
-		return
-	}
-	f.mu.Lock()
-	f.tracer = tr
-	f.mu.Unlock()
-}
-
-// Record appends one event. Nil-safe, allocation-free.
-func (f *FlightRecorder) Record(kind EventKind, txn uint64, site int32, arg int64) {
-	if f == nil {
-		return
-	}
-	now := int64(time.Since(f.epoch))
-	f.mu.Lock()
-	e := &f.ring[f.next%uint64(len(f.ring))]
-	e.Seq = f.next
-	e.Wall = f.wall0 + now
-	e.Nanos = now
-	e.Kind = kind
-	e.KindS = ""
-	e.Txn = txn
-	e.Site = site
-	e.Arg = arg
-	f.next++
-	f.mu.Unlock()
-}
-
-// Len reports how many events are currently retained.
-func (f *FlightRecorder) Len() int {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.next < uint64(len(f.ring)) {
-		return int(f.next)
-	}
-	return len(f.ring)
-}
-
-// Cap reports the ring capacity (0 for nil).
-func (f *FlightRecorder) Cap() int {
-	if f == nil {
-		return 0
-	}
-	return len(f.ring)
+	return f.spans
 }
 
 // LastDump reports the path of the most recent on-disk dump ("" if
@@ -167,68 +86,48 @@ func (f *FlightRecorder) Dumps() int {
 	return f.dumps
 }
 
-// snapshot assembles the dump document. Caller must NOT hold f.mu.
-func (f *FlightRecorder) snapshot(reason string) FlightDump {
-	f.mu.Lock()
-	n := uint64(len(f.ring))
-	start, count := uint64(0), f.next
-	if f.next > n {
-		start, count = f.next-n, n
-	}
-	events := make([]FlightEvent, 0, count)
-	for i := uint64(0); i < count; i++ {
-		e := f.ring[(start+i)%n]
-		e.KindS = e.Kind.String()
-		events = append(events, e)
-	}
-	spans, tracer := f.spans, f.tracer
-	process := f.process
-	f.mu.Unlock()
-
-	d := FlightDump{
-		Process: process,
-		Reason:  reason,
-		Wall:    time.Now().UTC().Format(time.RFC3339Nano),
-		Events:  events,
-	}
-	if spans != nil {
-		d.Spans = spans.Snapshot()
-		d.Exemplars = spans.Exemplars()
-	}
-	if tracer != nil {
-		d.Trace = tracer.Snapshot()
-	}
-	return d
-}
-
 // DumpTo writes the post-mortem document to w.
-func (f *FlightRecorder) DumpTo(w io.Writer, reason string) error {
+func (f *FlightRecorder) DumpTo(w io.Writer, reason, detail string) error {
 	if f == nil {
 		return nil
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
-	return enc.Encode(f.snapshot(reason))
+	return enc.Encode(FlightDump{
+		Process:   f.process,
+		Reason:    reason,
+		Detail:    detail,
+		Wall:      time.Now().UTC().Format(time.RFC3339Nano),
+		Spans:     f.spans.Snapshot(),
+		Exemplars: f.spans.Exemplars(),
+	})
 }
 
 // Dump writes the post-mortem to a fresh file in the recorder's dump
 // directory and returns its path. File naming is
 // flight-<process>-<n>.json so successive dumps never clobber.
-func (f *FlightRecorder) Dump(reason string) (string, error) {
+func (f *FlightRecorder) Dump(reason, detail string) (string, error) {
 	if f == nil {
 		return "", nil
 	}
 	f.mu.Lock()
-	f.dumps++
-	path := filepath.Join(f.dir, fmt.Sprintf("flight-%s-%d.json", f.process, f.dumps))
-	f.mu.Unlock()
+	defer f.mu.Unlock()
+	return f.dumpLocked(reason, detail)
+}
 
+// dumpLocked writes one dump file; only a written file counts. Caller
+// holds f.mu.
+func (f *FlightRecorder) dumpLocked(reason, detail string) (string, error) {
+	if err := os.MkdirAll(f.dir, 0o755); err != nil {
+		return "", err
+	}
+	path := filepath.Join(f.dir, fmt.Sprintf("flight-%s-%d.json", f.process, f.dumps+1))
 	tmp := path + ".tmp"
 	file, err := os.Create(tmp)
 	if err != nil {
 		return "", err
 	}
-	err = f.DumpTo(file, reason)
+	err = f.DumpTo(file, reason, detail)
 	if cerr := file.Close(); err == nil {
 		err = cerr
 	}
@@ -239,25 +138,27 @@ func (f *FlightRecorder) Dump(reason string) (string, error) {
 		os.Remove(tmp)
 		return "", err
 	}
-	f.mu.Lock()
+	f.dumps++
 	f.lastPath = path
-	f.mu.Unlock()
 	return path, nil
 }
 
 // DumpOnce dumps at most once per reason — the hook for invariant
 // violations that would otherwise re-trip on every subsequent check.
-// Returns the dump path ("" when this reason already fired).
-func (f *FlightRecorder) DumpOnce(reason string) (string, error) {
+// A failed dump does not use the reason up. Returns the dump path (""
+// when this reason already fired).
+func (f *FlightRecorder) DumpOnce(reason, detail string) (string, error) {
 	if f == nil {
 		return "", nil
 	}
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	if f.once[reason] {
-		f.mu.Unlock()
 		return "", nil
 	}
-	f.once[reason] = true
-	f.mu.Unlock()
-	return f.Dump(reason)
+	path, err := f.dumpLocked(reason, detail)
+	if err == nil {
+		f.once[reason] = true
+	}
+	return path, err
 }

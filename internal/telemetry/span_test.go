@@ -3,6 +3,8 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -214,74 +216,109 @@ func TestWriteChromeTrace(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderDump checks the black box end to end: record,
-// attach spans/tracer, dump to a buffer and to disk, DumpOnce
-// once-per-reason semantics, and nil safety.
+// TestFlightRecorderDump checks the black box end to end: dump the
+// span window to a buffer and to disk, DumpOnce once-per-reason
+// semantics, and nil safety.
 func TestFlightRecorderDump(t *testing.T) {
 	dir := t.TempDir()
-	f := NewFlightRecorder(8, "site-a", dir)
-	spans := NewSpanBuffer(8, 1)
-	tr := NewTracer(8)
-	f.AttachSpans(spans)
-	f.AttachTracer(tr)
+	spans := NewSpanBuffer(2, 1)
+	f := NewFlightRecorder(spans, "site-a", dir)
 
 	tc := TraceContext{Trace: 11, Span: 11, Flags: TraceSampled}
+	spans.Record(tc, SpanBegin, 7, 2, 0, 0, 0)
 	spans.Record(tc, SpanHold, 7, 2, 0, 0, 0)
-	tr.Record(EvHold, 7, 2, 1)
-	f.Record(EvHold, 7, 2, 1)
-	f.Record(EvCrash, 0, 2, 0)
+	spans.Record(tc, SpanRelease, 7, 2, 0, 0, 0)
+	spans.Complete(tc, 7, 5)
 
 	var buf bytes.Buffer
-	if err := f.DumpTo(&buf, "test"); err != nil {
+	if err := f.DumpTo(&buf, "test", "why"); err != nil {
 		t.Fatal(err)
 	}
 	var d FlightDump
 	if err := json.Unmarshal(buf.Bytes(), &d); err != nil {
 		t.Fatalf("dump is not valid JSON: %v", err)
 	}
-	if d.Process != "site-a" || d.Reason != "test" {
-		t.Errorf("dump header = %q/%q", d.Process, d.Reason)
+	if d.Process != "site-a" || d.Reason != "test" || d.Detail != "why" {
+		t.Errorf("dump header = %q/%q/%q", d.Process, d.Reason, d.Detail)
 	}
-	if len(d.Events) != 2 || d.Events[1].KindS != "crash" {
-		t.Errorf("dump events = %+v", d.Events)
-	}
-	if len(d.Spans) != 1 || d.Spans[0].Trace != 11 {
+	// The window is the span ring as retained: the two newest spans,
+	// oldest-first, with their kinds named.
+	if len(d.Spans) != 2 || d.Spans[0].KindS != "hold" || d.Spans[1].KindS != "release" || d.Spans[0].Trace != 11 {
 		t.Errorf("dump spans = %+v", d.Spans)
 	}
-	if len(d.Trace) != 1 {
-		t.Errorf("dump tracer events = %+v", d.Trace)
+	if len(d.Exemplars) != 1 || d.Exemplars[0].Txn != 7 {
+		t.Errorf("dump exemplars = %+v", d.Exemplars)
 	}
 
-	path, err := f.Dump("sigquit")
+	path, err := f.Dump("sigquit", "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(path, dir) || f.LastDump() != path {
 		t.Errorf("dump path %q, LastDump %q", path, f.LastDump())
 	}
-	if p2, _ := f.Dump("sigquit"); p2 == path {
+	if p2, _ := f.Dump("sigquit", ""); p2 == path {
 		t.Error("second dump clobbered the first")
 	}
 
-	if p, err := f.DumpOnce("conservation"); err != nil || p == "" {
+	if p, err := f.DumpOnce("conservation", ""); err != nil || p == "" {
 		t.Fatalf("first DumpOnce = %q, %v", p, err)
 	}
-	if p, err := f.DumpOnce("conservation"); err != nil || p != "" {
+	if p, err := f.DumpOnce("conservation", ""); err != nil || p != "" {
 		t.Errorf("second DumpOnce fired: %q, %v", p, err)
+	}
+	if f.Dumps() != 3 {
+		t.Errorf("Dumps = %d, want 3", f.Dumps())
 	}
 
 	var nf *FlightRecorder
-	nf.Record(EvHold, 1, 1, 1)
-	if nf.Len() != 0 || nf.Cap() != 0 || nf.LastDump() != "" {
+	if nf.Dumps() != 0 || nf.LastDump() != "" || nf.Spans() != nil {
 		t.Error("nil recorder retained state")
 	}
-	if p, err := nf.Dump("x"); p != "" || err != nil {
+	if p, err := nf.Dump("x", ""); p != "" || err != nil {
 		t.Error("nil recorder dumped")
 	}
-	if NewFlightRecorder(0, "x", "") != nil {
-		t.Error("size 0 must disable")
+	if NewFlightRecorder(nil, "x", "") != nil {
+		t.Error("span plane off must disable the recorder")
 	}
 	if NewSpanBuffer(0, 0) != nil {
 		t.Error("size 0 must disable")
+	}
+}
+
+// TestFlightDumpMissingDir: a dump directory that does not exist yet is
+// created by the first dump, and a dump that could not be written
+// neither counts nor uses up its DumpOnce reason.
+func TestFlightDumpMissingDir(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "not", "yet")
+	f := NewFlightRecorder(NewSpanBuffer(4, 1), "coord", dir)
+	path, err := f.DumpOnce("conservation-violation", "")
+	if err != nil || filepath.Dir(path) != dir {
+		t.Fatalf("DumpOnce into a missing dir = %q, %v", path, err)
+	}
+	if _, err := os.Stat(path); err != nil || f.Dumps() != 1 {
+		t.Fatalf("dump not on disk (%v) or miscounted (%d)", err, f.Dumps())
+	}
+
+	// A path blocked by a regular file cannot become a directory.
+	blocked := filepath.Join(root, "file")
+	if err := os.WriteFile(blocked, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	g := NewFlightRecorder(NewSpanBuffer(4, 1), "coord", filepath.Join(blocked, "dir"))
+	if p, err := g.DumpOnce("panic", ""); err == nil || p != "" {
+		t.Fatalf("DumpOnce into an impossible dir = %q, %v", p, err)
+	}
+	if g.Dumps() != 0 || g.LastDump() != "" {
+		t.Fatalf("failed dump counted: Dumps %d, LastDump %q", g.Dumps(), g.LastDump())
+	}
+	// Once the directory can be made, the same reason dumps after all.
+	g.dir = filepath.Join(root, "later")
+	if p, err := g.DumpOnce("panic", ""); err != nil || p == "" {
+		t.Fatalf("DumpOnce retry = %q, %v", p, err)
+	}
+	if g.Dumps() != 1 {
+		t.Fatalf("Dumps = %d after the retry, want 1", g.Dumps())
 	}
 }

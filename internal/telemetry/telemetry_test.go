@@ -114,63 +114,18 @@ func TestNilSafety(t *testing.T) {
 	var c *Counter
 	var g *Gauge
 	var h *Histogram
-	var tr *Tracer
 	var w *WireMetrics
 	c.Inc()
 	c.Add(5)
 	g.Set(3)
 	h.Observe(9)
-	tr.Record(EvHold, 1, 2, 3)
 	if c.Load() != 0 || g.Load() != 0 || g.High() != 0 || h.Count() != 0 {
 		t.Fatal("nil instruments must read zero")
-	}
-	if tr.Snapshot() != nil || tr.Len() != 0 {
-		t.Fatal("nil tracer must be empty")
 	}
 	if w.RTT(0x12) != nil {
 		t.Fatal("nil wire metrics must hand out nil histograms")
 	}
 	w.RTT(0x12).Observe(1) // and those must still be safe to observe
-	if NewTracer(0) != nil {
-		t.Fatal("NewTracer(0) must disable tracing")
-	}
-}
-
-// TestTracerWraparound pins the ring semantics: once full the oldest
-// events are overwritten, Snapshot returns oldest-first, and Seq
-// keeps counting across the wrap.
-func TestTracerWraparound(t *testing.T) {
-	tr := NewTracer(4)
-	for i := 0; i < 10; i++ {
-		tr.Record(EvHold, uint64(i), int32(i), int64(i))
-	}
-	if tr.Len() != 4 {
-		t.Fatalf("len = %d, want 4", tr.Len())
-	}
-	evs := tr.Snapshot()
-	if len(evs) != 4 {
-		t.Fatalf("snapshot len = %d, want 4", len(evs))
-	}
-	for i, e := range evs {
-		want := uint64(6 + i)
-		if e.Seq != want || e.Txn != want {
-			t.Fatalf("event %d = seq %d txn %d, want %d (oldest-first after wrap)", i, e.Seq, e.Txn, want)
-		}
-		if e.KindS != "hold" {
-			t.Fatalf("event kind string = %q", e.KindS)
-		}
-	}
-	// Before wrapping, a short tracer returns exactly what was recorded.
-	tr2 := NewTracer(8)
-	tr2.Record(EvBegin, 1, 0, 0)
-	tr2.Record(EvDecide, 1, -1, 2)
-	evs = tr2.Snapshot()
-	if len(evs) != 2 || evs[0].Kind != EvBegin || evs[1].Kind != EvDecide {
-		t.Fatalf("pre-wrap snapshot = %+v", evs)
-	}
-	if evs[1].Nanos < evs[0].Nanos {
-		t.Fatalf("timestamps must be monotonic: %d then %d", evs[0].Nanos, evs[1].Nanos)
-	}
 }
 
 // TestPromRender sanity-checks the text exposition: headers once per

@@ -61,16 +61,16 @@ type CoordinatorConfig struct {
 	DialWait time.Duration
 	// Policy optionally bounds the hold convoy (see dist.HoldPolicy).
 	Policy dist.HoldPolicy
-	// Trace sizes the cluster's conversation-event ring (0 disables).
-	Trace int
 	// Spans/SpanExemplars/SampleSeed/SampleRate configure the cluster's
-	// causal span plane (see dist.Config); Spans 0 disables it.
+	// causal span plane (see dist.Config); Spans 0 with no Flight
+	// disables it.
 	Spans         int
 	SpanExemplars int
 	SampleSeed    int64
 	SampleRate    float64
-	// Flight, when non-nil, is the process's flight recorder, shared
-	// with the cluster so conversation events land in the black box.
+	// Flight, when non-nil, is the process's flight recorder: the
+	// cluster records its spans into the recorder's buffer (Spans and
+	// SpanExemplars are then ignored), and a handler panic dumps it.
 	Flight *telemetry.FlightRecorder
 }
 
@@ -196,7 +196,6 @@ func StartCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		Log:           flog,
 		Backends:      backends,
 		Policy:        cfg.Policy,
-		Trace:         cfg.Trace,
 		Spans:         cfg.Spans,
 		SpanExemplars: cfg.SpanExemplars,
 		SampleSeed:    cfg.SampleSeed,
@@ -245,7 +244,6 @@ func StartCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		Addr:    cfg.ClientAddr,
 		Cluster: c,
 		Factory: objFactory,
-		Flight:  cfg.Flight,
 	})
 	if err != nil {
 		return fail(err)

@@ -24,9 +24,6 @@ type CoordConfig struct {
 	// remote registration). Comes from the cluster config's workload
 	// spec, like the site daemons' factories.
 	Factory func(core.ObjectID) (adt.Type, compat.Classifier)
-	// Flight, when non-nil, is dumped before a panic in a request
-	// handler takes the process down, so the crash leaves a black box.
-	Flight *telemetry.FlightRecorder
 }
 
 // servedTxn is one client transaction's session state at the
@@ -214,7 +211,7 @@ func (s *CoordServer) drop(id core.TxnID) {
 // transaction and overrides the coordinator's own sampling decision,
 // so the client's trace id spans the whole cluster.
 func (s *CoordServer) handle(cc *cliConn, corr uint64, kind uint8, tc telemetry.TraceContext, body []byte) {
-	defer dumpOnPanic(s.cfg.Flight)
+	defer dumpOnPanic(s.cfg.Cluster.Flight())
 	r := &reader{b: body}
 	fail := func(err error) { cc.send(corr, kErr, appendErrResp(nil, err)) }
 	ok := func(payload []byte) { cc.send(corr, kOK, payload) }

@@ -95,7 +95,7 @@ func mergedSpans(sb *telemetry.SpanBuffer) []telemetry.Span {
 }
 
 // DebugServer is the HTTP observability plane: /metrics (Prometheus
-// text), /statusz (JSON), /tracez (JSON event ring), and net/http/pprof
+// text), /statusz (JSON), /tracez (JSON span feed), and net/http/pprof
 // under /debug/pprof/. It runs on its own mux so pprof's default-mux
 // registration never leaks into the daemon.
 type DebugServer struct {
@@ -141,27 +141,15 @@ func ServeDebug(cfg DebugConfig) (*DebugServer, error) {
 			// or Perfetto.
 			w.Header().Set("Content-Type", "application/json")
 			_ = telemetry.WriteChromeTrace(w, cfg.processName(), mergedSpans(sb))
-			return
-		case "spans":
-			// Raw span records, the sccctl stitching feed: this process's
-			// ring plus its pinned exemplars.
+		default:
+			// Raw span records (the default, or fmt=spans), the sccctl
+			// stitching feed: this process's ring plus its pinned
+			// exemplars.
 			w.Header().Set("Content-Type", "application/json")
 			enc := json.NewEncoder(w)
 			enc.SetIndent("", "  ")
 			_ = enc.Encode(SpanzDoc{Process: cfg.processName(), Spans: mergedSpans(sb)})
-			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		var events []telemetry.Event
-		if cfg.Cluster != nil {
-			events = cfg.Cluster.Tracer().Snapshot()
-		}
-		if events == nil {
-			events = []telemetry.Event{}
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(events)
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -284,7 +272,6 @@ type Statusz struct {
 	Crashes     uint64 `json:"crashes,omitempty"`
 	Restarts    uint64 `json:"restarts,omitempty"`
 	MirrorEdges int    `json:"mirror_edges,omitempty"`
-	TraceLen    int    `json:"trace_len,omitempty"`
 
 	Tracing *TracingStatusz `json:"tracing,omitempty"`
 	Flight  *FlightStatusz  `json:"flight,omitempty"`
@@ -292,8 +279,9 @@ type Statusz struct {
 	Wire *WireStatusz `json:"wire,omitempty"`
 }
 
-// SpanzDoc is the /tracez?fmt=spans JSON document: one process's span
-// records, ready for cross-process stitching by trace id.
+// SpanzDoc is the /tracez JSON document (also served as ?fmt=spans):
+// one process's span records, ready for cross-process stitching by
+// trace id.
 type SpanzDoc struct {
 	Process string           `json:"process"`
 	Spans   []telemetry.Span `json:"spans"`
@@ -312,8 +300,6 @@ type TracingStatusz struct {
 // FlightStatusz is the flight-recorder block inside /statusz.
 type FlightStatusz struct {
 	Enabled  bool   `json:"enabled"`
-	Len      int    `json:"len"`
-	Cap      int    `json:"cap"`
 	Dumps    int    `json:"dumps"`
 	LastDump string `json:"last_dump,omitempty"`
 }
@@ -354,7 +340,6 @@ func buildStatusz(cfg DebugConfig) Statusz {
 		st.Crashes = tel.Crashes.Load()
 		st.Restarts = tel.Restarts.Load()
 		st.MirrorEdges = c.MirrorEdges()
-		st.TraceLen = c.Tracer().Len()
 	}
 	if len(cfg.Sites) > 0 {
 		st.SiteStats = make(map[string]core.Stats, len(cfg.Sites))
@@ -376,8 +361,6 @@ func buildStatusz(cfg DebugConfig) Statusz {
 		if fr != nil {
 			st.Flight = &FlightStatusz{
 				Enabled:  true,
-				Len:      fr.Len(),
-				Cap:      fr.Cap(),
 				Dumps:    fr.Dumps(),
 				LastDump: fr.LastDump(),
 			}
@@ -402,9 +385,7 @@ func buildStatusz(cfg DebugConfig) Statusz {
 // so even an invariant-violation crash leaves a post-mortem artifact.
 func dumpOnPanic(fr *telemetry.FlightRecorder) {
 	if r := recover(); r != nil {
-		if fr != nil {
-			_, _ = fr.DumpOnce("panic")
-		}
+		_, _ = fr.DumpOnce("panic", fmt.Sprint(r))
 		panic(r)
 	}
 }

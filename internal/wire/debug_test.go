@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -11,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/fault"
-	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -60,7 +60,8 @@ func TestDebugPlaneEndToEnd(t *testing.T) {
 		Workload:   spec,
 		DialWait:   2 * time.Second,
 		Policy:     dist.EagerRelease{},
-		Trace:      1024,
+		Spans:      4096,
+		SampleRate: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -143,12 +144,20 @@ func TestDebugPlaneEndToEnd(t *testing.T) {
 		t.Errorf("wire block missing or empty: %+v", st.Wire)
 	}
 
-	var events []telemetry.Event
-	if err := json.Unmarshal(httpGet(t, dbg.Addr(), "/tracez"), &events); err != nil {
+	// The default /tracez view is the span feed, the same document as
+	// ?fmt=spans.
+	var def, spans SpanzDoc
+	if err := json.Unmarshal(httpGet(t, dbg.Addr(), "/tracez"), &def); err != nil {
 		t.Fatal(err)
 	}
-	if len(events) == 0 {
-		t.Error("tracez empty with tracing enabled")
+	if err := json.Unmarshal(httpGet(t, dbg.Addr(), "/tracez?fmt=spans"), &spans); err != nil {
+		t.Fatal(err)
+	}
+	if def.Process != "coord" || len(def.Spans) == 0 {
+		t.Errorf("default tracez = process %q with %d spans, want coord's non-empty feed", def.Process, len(def.Spans))
+	}
+	if !reflect.DeepEqual(def, spans) {
+		t.Errorf("default tracez (%d spans) differs from ?fmt=spans (%d spans)", len(def.Spans), len(spans.Spans))
 	}
 
 	siteMetrics := string(httpGet(t, sdbg.Addr(), "/metrics"))

@@ -58,12 +58,10 @@ cat > "$CFG" <<EOF
   "workload": "pushes:32",
   "policy":   "depth=4",
   "debug":    "127.0.0.1:$P_DBG_CO",
-  "trace":    4096,
   "spans":    32768,
   "span_exemplars": 8,
   "sample_rate": 1,
   "sample_seed": 42,
-  "flight":   2048,
   "flight_dir": "$FLIGHT_DIR",
   "daemons": [
     {"listen": "127.0.0.1:$P_D0", "sites": [0, 1], "debug": "127.0.0.1:$P_DBG_D0"},
@@ -223,6 +221,9 @@ echo "== sccctl stats / trace against the live cluster"
 grep -q 'commits' "$LOG/stats.log" || fail "sccctl stats printed no commit line"
 "$BIN/sccctl" -config "$CFG" trace -last 5 > "$LOG/trace.log" 2>&1 || {
   cat "$LOG/trace.log" >&2; fail "sccctl trace"
+}
+[ "$(grep -cE '^[a-z]+ +txn=[0-9]+ +site=-?[0-9]+ +dur=' "$LOG/trace.log")" -eq 5 ] || {
+  cat "$LOG/trace.log" >&2; fail "sccctl trace -last 5 did not print 5 span lines"
 }
 
 echo "== /statusz reports the tracing and flight-recorder planes"
